@@ -26,7 +26,8 @@ var errDeltaFallback = errors.New("core: delta write not applicable")
 
 // deltaFallbackReasons labels the per-reason fallback counters:
 //
-//	no-base    – no cached value (and read-before-write not profitable)
+//	no-base    – the near cache missed, and read-before-write was
+//	             skipped or found nothing
 //	stale-base – cached version differs from the CAS token, so a patch
 //	             against it would be conditioned on the wrong stripe
 //	resize     – old and new values have different shard layouts
@@ -62,8 +63,7 @@ func (e *ecStrategy) deltaBase(key string, valueLen int, isCas bool) (nearcache.
 	if base, ok := e.c.cache.Get(key); ok {
 		return base, true
 	}
-	min := e.c.cfg.DeltaReadBeforeMin
-	if isCas || min <= 0 || valueLen < min {
+	if !e.readsBeforeWrite(valueLen, isCas) {
 		return nearcache.Value{}, false
 	}
 	item, err := e.get(key)
@@ -71,6 +71,13 @@ func (e *ecStrategy) deltaBase(key string, valueLen int, isCas bool) (nearcache.
 		return nearcache.Value{}, false
 	}
 	return nearcache.Value{Data: item.Value, Version: item.Version, TTL: item.TTL}, true
+}
+
+// readsBeforeWrite reports whether deltaBase may read an overwrite's
+// base from the cluster when the near cache has none.
+func (e *ecStrategy) readsBeforeWrite(valueLen int, isCas bool) bool {
+	min := e.c.cfg.DeltaReadBeforeMin
+	return !isCas && min > 0 && valueLen >= min
 }
 
 // trySetDelta attempts the delta overwrite for a Set (expect == 0,
@@ -103,7 +110,10 @@ func (e *ecStrategy) deltaBase(key string, valueLen int, isCas bool) (nearcache.
 // heals from parity.
 func (e *ecStrategy) trySetDelta(key string, value []byte, ttl time.Duration, expect uint64, isCas bool) (uint64, error) {
 	c := e.c
-	if c.cfg.DisableDeltaWrites {
+	// Without a near cache the only possible base is a read-before-write;
+	// when that would not run either, no base can exist, so the write is
+	// not a delta candidate and counts no fallback.
+	if c.cfg.DisableDeltaWrites || (c.cache == nil && !e.readsBeforeWrite(len(value), isCas)) {
 		return 0, errDeltaFallback
 	}
 	base, ok := e.deltaBase(key, len(value), isCas)
@@ -119,17 +129,16 @@ func (e *ecStrategy) trySetDelta(key string, value []byte, ttl time.Duration, ex
 		op = "cas"
 	}
 	start := time.Now()
-	ps, err := erasure.EncodeDelta(e.code, base.Data, value, nil)
+	delta, err := erasure.EncodeDelta(e.code, base.Data, value, nil)
 	if err != nil {
 		return e.deltaFallback("resize")
 	}
-	defer ps.Release()
+	defer delta.Release()
 	n := e.k + e.m
-	per := len(ps.Shards[0])
+	per := delta.ShardLen
 	runs := make([][]wire.DeltaRun, n)
 	patchBytes := 0
-	for i, shard := range ps.Shards {
-		rr := erasure.NonzeroRuns(shard, 0)
+	for i, rr := range delta.Runs {
 		wrr := make([]wire.DeltaRun, len(rr))
 		for j, r := range rr {
 			wrr[j] = wire.DeltaRun{Offset: uint32(r.Offset), Data: r.Data}

@@ -400,6 +400,38 @@ func TestDeltaReadBeforeWrite(t *testing.T) {
 	}
 }
 
+// TestDeltaNoBaseAccounting: a cache-less client counts a no-base
+// fallback only when a base could have existed. A Set below the
+// read-before-write floor never looks for one, so it is not a delta
+// candidate at all; a Set above the floor whose read finds nothing is.
+func TestDeltaNoBaseAccounting(t *testing.T) {
+	cl := startCluster(t, 5)
+	cfg := allModes()["era-ce-cd"]
+	cfg.DeltaReadBeforeMin = 4 << 10
+	c := newClient(t, cl, cfg)
+	rng := rand.New(rand.NewSource(11))
+
+	small := make([]byte, 1<<10)
+	rng.Read(small)
+	for i := 0; i < 3; i++ {
+		if err := c.Set("delta-small", editValue(small, i, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := deltaFallbacks(c, ""); n != 0 {
+		t.Fatalf("delta_fallbacks_total = %d after small Sets with no near cache", n)
+	}
+
+	large := make([]byte, 8<<10)
+	rng.Read(large)
+	if err := c.Set("delta-large-fresh", large); err != nil {
+		t.Fatal(err)
+	}
+	if n := deltaFallbacks(c, "no-base"); n != 1 {
+		t.Fatalf("no-base fallbacks = %d after a read-before-write miss, want 1", n)
+	}
+}
+
 // TestDeltaDisabled: the escape hatch really disables the path — no
 // delta frames, no fallback accounting, identical results.
 func TestDeltaDisabled(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 // four client/server encode/decode placements of Section IV-B.
 type ecStrategy struct {
 	c      *Client
-	code   erasure.Code
+	code   *erasure.RSVan // concrete: EncodeDelta needs a byte-column code
 	k, m   int
 	scheme Scheme
 }

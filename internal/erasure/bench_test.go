@@ -162,3 +162,56 @@ func BenchmarkReconstructData(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEncodeDelta measures the delta encode of an overwrite of a
+// 1 MB RS(3,2) value, per edit shape: a 64 B body edit plus a 4 B
+// header edit (a checksummed value), one 4 KB edit, and one 256 KB
+// edit. impl=sparse is EncodeDelta; impl=dense is the full-width
+// reference (delta_test.go) plus its run scan, the encoder EncodeDelta
+// replaced. Run with -benchmem.
+func BenchmarkEncodeDelta(b *testing.B) {
+	const size = 1 << 20
+	edits := []struct {
+		name  string
+		spans [][2]int // {offset, length}
+	}{
+		{"64B+hdr4B", [][2]int{{0, 4}, {size / 2, 64}}},
+		{"4KB", [][2]int{{size / 2, 4 << 10}}},
+		{"256KB", [][2]int{{size / 4, 256 << 10}}},
+	}
+	oldValue := benchValue(size)
+	for _, e := range edits {
+		newValue := append([]byte(nil), oldValue...)
+		for _, sp := range e.spans {
+			for i := sp[0]; i < sp[0]+sp[1]; i++ {
+				newValue[i] ^= 0x5A
+			}
+		}
+		b.Run(fmt.Sprintf("impl=sparse/edit=%s", e.name), func(b *testing.B) {
+			code, pool := benchCode(b), NewBufferPool()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d, err := EncodeDelta(code, oldValue, newValue, pool)
+				if err != nil {
+					b.Fatal(err)
+				}
+				d.Release()
+			}
+		})
+		b.Run(fmt.Sprintf("impl=dense/edit=%s", e.name), func(b *testing.B) {
+			pool := NewBufferPool()
+			code := benchCode(b, WithPool(pool)) // parity from the pool Release returns it to
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ps, err := encodeDeltaDense(code, oldValue, newValue, pool)
+				if err != nil {
+					b.Fatal(err)
+				}
+				denseRuns(ps)
+				ps.Release()
+			}
+		})
+	}
+}

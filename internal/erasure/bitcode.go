@@ -1,6 +1,7 @@
 package erasure
 
 import (
+	"bytes"
 	"fmt"
 
 	"ecstore/internal/gf256"
@@ -212,7 +213,7 @@ func (b *bitCode) Verify(shards [][]byte) (bool, error) {
 				}
 			}
 		}
-		if !equalBytes(buf, shards[b.k+p]) {
+		if !bytes.Equal(buf, shards[b.k+p]) {
 			return false, nil
 		}
 	}

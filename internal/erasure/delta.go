@@ -1,6 +1,7 @@
 package erasure
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,23 +15,72 @@ import (
 // caller must fall back to a full re-stripe.
 var ErrDeltaShape = errors.New("erasure: old and new values have different shard layouts")
 
+// deltaBlock is the column-block width, in bytes per shard, at which
+// EncodeDelta looks for an overwrite's dirty columns. It must exceed
+// DefaultRunMergeGap: a clean block between two dirty windows is then
+// a zero gap no run can merge across, which is what keeps per-window
+// run extraction identical to a scan of the full-width delta shard.
+const deltaBlock = 1 << 10
+
+// DeltaRun is one contiguous non-zero range of a delta shard: Data
+// holds the XOR bytes to apply at Offset.
+type DeltaRun struct {
+	Offset int
+	Data   []byte
+}
+
+// DefaultRunMergeGap is the zero-gap below which two adjacent non-zero
+// ranges of a delta shard share one run: carrying a few literal zeros
+// is cheaper than another run header on the wire.
+const DefaultRunMergeGap = 16
+
+// Delta is the sparse patch set of one overwrite: for each of the
+// code's K+M shards, the XOR runs that turn the old value's chunk into
+// the new value's.
+type Delta struct {
+	// ShardLen is the per-shard size both values share.
+	ShardLen int
+	// Runs holds one run list per shard, K data shards then M parity,
+	// each in ascending offset order with absolute shard offsets. The
+	// runs alias buffers the Delta owns: serialize them before Release.
+	Runs [][]DeltaRun
+
+	bufs [][]byte
+	pool *BufferPool
+}
+
+// Release returns the Delta's window buffers to the pool and drops its
+// runs. Extra calls are no-ops.
+func (d *Delta) Release() {
+	for _, b := range d.bufs {
+		d.pool.Put(b)
+	}
+	d.bufs, d.Runs = nil, nil
+}
+
 // EncodeDelta encodes the XOR difference between two versions of a
-// value into K+M delta shards. Reed-Solomon over GF(256) is linear, so
-// encode(new) = encode(old) XOR encode(new XOR old): a server holding a
-// chunk of the old stripe can XOR the matching delta shard onto it —
-// data and parity chunks alike — and end up holding exactly the chunk a
-// full re-encode of the new value would have produced.
+// value as per-shard sparse runs. Reed-Solomon over GF(256) is linear,
+// so encode(new) = encode(old) XOR encode(new XOR old): a server holding
+// a chunk of the old stripe can XOR the matching runs onto it — data
+// and parity chunks alike — and end up holding exactly the chunk a full
+// re-encode of the new value would have produced.
 //
-// The data shards are built directly as (new XOR old) per segment, with
-// both values zero-padded to the common shard size; the parity delta
-// shards come from running the code's normal (parallel, widened-kernel)
-// Encode over those data deltas. Both values must round to the same
-// shard size for the code's K, otherwise ErrDeltaShape is returned.
+// The work is proportional to the edit, not the value. RS-Vandermonde
+// parity byte j depends only on data byte j of each data shard, so a
+// column that no data shard changes has a zero delta in every shard.
+// EncodeDelta compares the two values per deltaBlock-wide column block
+// across the K data shards (both zero-padded to the shard size, exactly
+// as Split pads them), groups consecutive dirty blocks into windows,
+// and XORs and encodes only each window's columns. The runs equal those
+// of a full-width delta encode scanned with DefaultRunMergeGap, byte
+// for byte. A value with a checksummed header and a far body edit thus
+// costs two small windows, not the span between them.
 //
-// Shard buffers are drawn from pool (DefaultPool when nil); the caller
-// must Release the returned set once the delta runs have been
-// serialized.
-func EncodeDelta(code Code, oldValue, newValue []byte, pool *BufferPool) (*PooledShards, error) {
+// Both values must round to the same shard size for the code's K,
+// otherwise ErrDeltaShape is returned. Each window leases K+M buffers
+// from pool (DefaultPool when nil); the caller must Release the Delta
+// once its runs have been serialized.
+func EncodeDelta(code *RSVan, oldValue, newValue []byte, pool *BufferPool) (*Delta, error) {
 	k, m := code.K(), code.M()
 	per := ShardSize(len(newValue), k, packetAlign)
 	if ShardSize(len(oldValue), k, packetAlign) != per {
@@ -39,63 +89,102 @@ func EncodeDelta(code Code, oldValue, newValue []byte, pool *BufferPool) (*Poole
 	if pool == nil {
 		pool = DefaultPool
 	}
-	ps := &PooledShards{pool: pool}
-	if n := k + m; n <= len(ps.arr) {
-		ps.Shards = ps.arr[:n]
-	} else {
-		ps.Shards = make([][]byte, n)
-	}
-	for i := 0; i < k; i++ {
-		s := pool.GetRaw(per)
-		lo := i * per
-		n := 0
-		if lo < len(newValue) {
-			n = copy(s, newValue[lo:])
-		}
-		clearSlice(s[n:]) // zero the padding a raw pool buffer may carry
-		if lo < len(oldValue) {
-			seg := oldValue[lo:]
-			if len(seg) > per {
-				seg = seg[:per]
+	d := &Delta{ShardLen: per, Runs: make([][]DeltaRun, k+m), bufs: make([][]byte, 0, k+m), pool: pool}
+	shards := make([][]byte, k+m)
+	lo := -1 // first column of the open window; -1 when none is open
+	for col := 0; col < per; col += deltaBlock {
+		if columnsDiffer(oldValue, newValue, k, per, col, min(col+deltaBlock, per)) {
+			if lo < 0 {
+				lo = col
 			}
-			// s ^= old segment; the zero padding beyond either value's
-			// tail XORs to the other's bytes, exactly as Split would pad.
-			gf256.AddSlice(seg, s[:len(seg)])
+			continue
 		}
-		ps.Shards[i] = s
+		if lo >= 0 {
+			if err := d.encodeWindow(code, shards, oldValue, newValue, lo, col); err != nil {
+				d.Release()
+				return nil, err
+			}
+			lo = -1
+		}
 	}
-	if err := code.Encode(ps.Shards); err != nil {
-		ps.Release()
-		return nil, err
+	if lo >= 0 {
+		if err := d.encodeWindow(code, shards, oldValue, newValue, lo, per); err != nil {
+			d.Release()
+			return nil, err
+		}
 	}
-	return ps, nil
+	return d, nil
 }
 
-// DeltaRun is one contiguous non-zero range of a delta shard: Data
-// holds the XOR bytes to apply at Offset. Runs returned by NonzeroRuns
-// alias the scanned shard — serialize them before releasing it.
-type DeltaRun struct {
-	Offset int
-	Data   []byte
+// encodeWindow builds the delta shards of columns [lo, hi) in pooled
+// buffers, encodes their parity and appends every shard's runs.
+func (d *Delta) encodeWindow(code *RSVan, shards [][]byte, oldValue, newValue []byte, lo, hi int) error {
+	k, w := code.K(), hi-lo
+	for i := range shards {
+		s := d.pool.GetRaw(w)
+		d.bufs = append(d.bufs, s)
+		shards[i] = s
+		if i >= k {
+			continue // parity: Encode overwrites every byte
+		}
+		off := i*d.ShardLen + lo
+		n := copy(s, segment(newValue, off, w))
+		clear(s[n:]) // zero the padding a raw pool buffer may carry
+		// s ^= old columns; the zero padding beyond either value's tail
+		// XORs to the other's bytes, exactly as Split would pad.
+		old := segment(oldValue, off, w)
+		gf256.AddSlice(old, s[:len(old)])
+	}
+	if err := code.Encode(shards); err != nil {
+		return err
+	}
+	for i, s := range shards {
+		d.Runs[i] = appendNonzeroRuns(d.Runs[i], s, lo, DefaultRunMergeGap)
+	}
+	return nil
 }
 
-// DefaultRunMergeGap is the zero-gap below which NonzeroRuns merges two
-// adjacent non-zero ranges into one run: carrying a few literal zeros
-// is cheaper than another run header on the wire.
-const DefaultRunMergeGap = 16
-
-// NonzeroRuns extracts the sparse offset/length runs of a delta shard:
-// every non-zero byte is covered by exactly one run, runs are in
-// ascending offset order, and ranges separated by fewer than mergeGap
-// zero bytes are coalesced (mergeGap <= 0 uses DefaultRunMergeGap). A
-// small edit to a large value yields near-empty delta shards, so this
-// is what turns a linear patch into a few bytes on the wire. The
-// returned runs alias shard.
-func NonzeroRuns(shard []byte, mergeGap int) []DeltaRun {
-	if mergeGap <= 0 {
-		mergeGap = DefaultRunMergeGap
+// columnsDiffer reports whether the two values differ anywhere in
+// columns [lo, hi) of any of the k data shards of size per, reading
+// each value as zero-padded past its end.
+func columnsDiffer(oldValue, newValue []byte, k, per, lo, hi int) bool {
+	for i := 0; i < k; i++ {
+		a := segment(oldValue, i*per+lo, hi-lo)
+		b := segment(newValue, i*per+lo, hi-lo)
+		if len(a) > len(b) {
+			a, b = b, a
+		}
+		if !bytes.Equal(a, b[:len(a)]) || !allZero(b[len(a):]) {
+			return true
+		}
 	}
-	var runs []DeltaRun
+	return false
+}
+
+// segment returns v[off:off+n] cut short at v's end: the part of a
+// zero-padded shard window the value itself holds.
+func segment(v []byte, off, n int) []byte {
+	if off >= len(v) {
+		return nil
+	}
+	return v[off:min(off+n, len(v))]
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// appendNonzeroRuns appends the sparse runs of a delta shard (or of a
+// window of one starting at shard offset base) to runs: every non-zero
+// byte is covered by exactly one run, runs are in ascending offset
+// order, and ranges separated by fewer than mergeGap zero bytes are
+// coalesced. The appended runs alias shard.
+func appendNonzeroRuns(runs []DeltaRun, shard []byte, base, mergeGap int) []DeltaRun {
 	i := 0
 	for i < len(shard) {
 		// Skip zeros a word at a time: delta shards are mostly zero.
@@ -114,7 +203,7 @@ func NonzeroRuns(shard []byte, mergeGap int) []DeltaRun {
 				last = j
 			}
 		}
-		runs = append(runs, DeltaRun{Offset: start, Data: shard[start : last+1]})
+		runs = append(runs, DeltaRun{Offset: base + start, Data: shard[start : last+1]})
 		i = last + 1 + mergeGap
 	}
 	return runs

@@ -1,6 +1,9 @@
 package erasure
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // RSVan is classic Reed-Solomon coding with a systematic generator
 // matrix derived from a Vandermonde matrix (Jerasure's reed_sol_van, the
@@ -207,7 +210,7 @@ func (r *RSVan) Verify(shards [][]byte) (bool, error) {
 			srcs:   shards[:r.k],
 		}}
 		r.exec.run(jobs, size)
-		if !equalBytes(buf, shards[r.k+row]) {
+		if !bytes.Equal(buf, shards[r.k+row]) {
 			return false, nil
 		}
 	}
@@ -218,18 +221,6 @@ func clearSlice(b []byte) {
 	for i := range b {
 		b[i] = 0
 	}
-}
-
-func equalBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ReconstructData recovers only the missing data shards of c, using the

@@ -291,7 +291,7 @@ func (h *Handler) handleStorage(br *bufio.Reader, bw *bufio.Writer, cmd string, 
 		}
 		return false, true, nil
 	}
-	data, err := readDataBlock(br, nbytes)
+	stored, err := readDataBlock(br, nbytes)
 	if err != nil {
 		if errors.Is(err, errBadDataChunk) {
 			h.clientError(bw, noreply, "bad data chunk")
@@ -304,7 +304,7 @@ func (h *Handler) handleStorage(br *bufio.Reader, bw *bufio.Writer, cmd string, 
 		return false, true, nil
 	}
 	ttl := expTimeToTTL(exptime)
-	stored := encodeFlags(uint32(flags64), data)
+	putFlags(stored, uint32(flags64))
 
 	reply := func(s string) {
 		if !noreply {
@@ -344,7 +344,7 @@ func (h *Handler) handleStorage(br *bufio.Reader, bw *bufio.Writer, cmd string, 
 			return false, true, nil
 		}
 	case "replace", "append", "prepend":
-		status, err := h.storeExisting(cmd, key, uint32(flags64), ttl, data)
+		status, err := h.storeExisting(cmd, key, ttl, stored)
 		if err != nil {
 			h.serverError(bw, noreply, err)
 			return false, true, nil
@@ -356,8 +356,9 @@ func (h *Handler) handleStorage(br *bufio.Reader, bw *bufio.Writer, cmd string, 
 
 // storeExisting implements the commands that require the key to be
 // present, as conditional-write loops so they are atomic against
-// concurrent mutations. Returns the protocol status line.
-func (h *Handler) storeExisting(cmd, key string, flags uint32, ttl time.Duration, data []byte) (string, error) {
+// concurrent mutations. stored is the command's data block with its
+// flags already in the prefix. Returns the protocol status line.
+func (h *Handler) storeExisting(cmd, key string, ttl time.Duration, stored []byte) (string, error) {
 	for i := 0; i < casRetries; i++ {
 		cur, err := h.backend.Get(key)
 		if errors.Is(err, ErrCacheMiss) {
@@ -370,12 +371,13 @@ func (h *Handler) storeExisting(cmd, key string, flags uint32, ttl time.Duration
 		nextTTL := ttl
 		switch cmd {
 		case "replace":
-			next = encodeFlags(flags, data)
+			next = stored
 		case "append", "prepend":
 			// append/prepend keep the original item's flags and TTL;
 			// the command's own flags/exptime are ignored, as
 			// memcached does.
 			curFlags, payload := decodeFlags(cur.Value)
+			_, data := decodeFlags(stored)
 			joined := make([]byte, 0, len(payload)+len(data))
 			if cmd == "append" {
 				joined = append(append(joined, payload...), data...)
@@ -580,16 +582,20 @@ func (h *Handler) handleStats(bw *bufio.Writer, args []string) (bool, bool, erro
 
 var errBadDataChunk = errors.New("memproto: bad data chunk")
 
-// readDataBlock reads exactly n payload bytes plus the trailing CRLF.
+// readDataBlock reads exactly n payload bytes plus the trailing CRLF
+// into a buffer that reserves the client-flags prefix in front of
+// them, and returns the stored form: flagsPrefixLen bytes for putFlags
+// to fill, then the payload. The value reaches the backend without
+// another copy.
 func readDataBlock(br *bufio.Reader, n int) ([]byte, error) {
-	buf := make([]byte, n+2)
-	if _, err := io.ReadFull(br, buf); err != nil {
+	buf := make([]byte, flagsPrefixLen+n+2)
+	if _, err := io.ReadFull(br, buf[flagsPrefixLen:]); err != nil {
 		return nil, err
 	}
 	if !bytes.HasSuffix(buf, crlf) {
 		return nil, errBadDataChunk
 	}
-	return buf[:n], nil
+	return buf[:flagsPrefixLen+n], nil
 }
 
 func discard(br *bufio.Reader, n int) error {

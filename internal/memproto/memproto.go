@@ -102,9 +102,15 @@ const flagsPrefixLen = 4
 // encodeFlags prepends the memcached client flags to value.
 func encodeFlags(flags uint32, value []byte) []byte {
 	out := make([]byte, flagsPrefixLen+len(value))
-	binary.BigEndian.PutUint32(out, flags)
+	putFlags(out, flags)
 	copy(out[flagsPrefixLen:], value)
 	return out
+}
+
+// putFlags writes the client flags into the prefix of a stored value
+// whose first flagsPrefixLen bytes were reserved for them.
+func putFlags(stored []byte, flags uint32) {
+	binary.BigEndian.PutUint32(stored, flags)
 }
 
 // decodeFlags splits a stored value into client flags and payload. A

@@ -99,7 +99,7 @@ func (h *Handler) handleMetaSet(br *bufio.Reader, bw *bufio.Writer, args []strin
 		writeString(bw, "SERVER_ERROR object too large for cache\r\n")
 		return false, true, nil
 	}
-	data, err := readDataBlock(br, nbytes)
+	stored, err := readDataBlock(br, nbytes)
 	if err != nil {
 		if errors.Is(err, errBadDataChunk) {
 			writeString(bw, "CLIENT_ERROR bad data chunk\r\n")
@@ -117,7 +117,7 @@ func (h *Handler) handleMetaSet(br *bufio.Reader, bw *bufio.Writer, args []strin
 		return false, true, nil
 	}
 	ttl := expTimeToTTL(mf.ttl)
-	stored := encodeFlags(mf.flags, data)
+	putFlags(stored, mf.flags)
 
 	mode := mf.mode
 	if mode == 0 {
@@ -146,7 +146,7 @@ func (h *Handler) handleMetaSet(br *bufio.Reader, bw *bufio.Writer, args []strin
 		}
 	case 'R': // replace
 		var line string
-		line, err = h.storeExisting("replace", key, mf.flags, ttl, data)
+		line, err = h.storeExisting("replace", key, ttl, stored)
 		if err == nil && line != "STORED\r\n" {
 			status = "NS"
 		}
@@ -156,7 +156,7 @@ func (h *Handler) handleMetaSet(br *bufio.Reader, bw *bufio.Writer, args []strin
 			cmd = "prepend"
 		}
 		var line string
-		line, err = h.storeExisting(cmd, key, mf.flags, ttl, data)
+		line, err = h.storeExisting(cmd, key, ttl, stored)
 		if err == nil && line != "STORED\r\n" {
 			status = "NS"
 		}

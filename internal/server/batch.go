@@ -26,9 +26,9 @@ func batchable(op wire.Op) bool {
 // through s.handle, so per-op counters and error accounting see batched
 // and unbatched traffic identically. Sub-request values alias the
 // pooled batch frame body; that is safe for the same reason the worker
-// releases the request before writing the response — the store copies
-// on Set, and Get returns store-owned copies, so nothing in a
-// sub-response aliases the inbound frame.
+// releases the request before writing the response — writes clone the
+// value before the store takes it, and reads return store views, so
+// nothing stored or in a sub-response aliases the inbound frame.
 //
 // Failure discipline: a sub-op that fails reports its status in its
 // own slot; the frame-level response is an error only when the batch

@@ -109,10 +109,9 @@ func (s *Server) handleEncodeSet(req *wire.Request) *wire.Response {
 	for _, lc := range locals {
 		cm := meta
 		cm.ChunkIndex = uint8(lc.idx)
-		payload := wire.EncodeChunkPayloadPooled(s.framePool, cm, shards[lc.idx])
-		err := s.store.SetVersioned(wire.ChunkKey(req.Key, lc.idx), payload, ttl, cm.Stripe)
-		s.framePool.Put(payload) // the store copied it
-		if err != nil {
+		// Not pooled: the store takes ownership of the payload.
+		payload := wire.EncodeChunkPayload(cm, shards[lc.idx])
+		if err := s.store.SetVersioned(wire.ChunkKey(req.Key, lc.idx), payload, ttl, cm.Stripe); err != nil {
 			localErr = err
 		}
 	}
@@ -148,8 +147,9 @@ func (s *Server) handleDecodeGet(req *wire.Request) *wire.Response {
 	collector := wire.NewChunkCollector(k, k+m)
 
 	// Chunks handed to the collector alias the pooled bodies of peer
-	// responses, so those leases stay live until after Join copies the
-	// data out; only then do they go back to the pool.
+	// responses or, for local chunks, the store's read-only views; the
+	// leases stay live until after Join copies the data out, and only
+	// then go back to the pool.
 	var retained []*wire.Response
 	defer func() {
 		for _, r := range retained {
@@ -233,7 +233,8 @@ func (s *Server) handleDecodeGet(req *wire.Request) *wire.Response {
 	}
 	value, err := erasure.Join(chunks, k, int(totalLen))
 	// Join copied the data; pool-allocated rebuilt chunks can be
-	// recycled. Peer-owned chunk buffers are never released.
+	// recycled. Chunks aliasing peer responses or store views are not
+	// the pool's.
 	for _, i := range rebuilt {
 		erasure.DefaultPool.Put(chunks[i])
 	}

@@ -8,6 +8,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -316,9 +317,10 @@ func (s *Server) worker() {
 			resp := s.handle(j.req)
 			s.hHandleSeconds.Record(time.Since(start))
 			resp.ID = j.req.ID
-			// The handlers never let the request body escape into the
-			// response (the store copies on Set and Get), so the leased
-			// frame body can go back to the pool before the write.
+			// The handlers never let the request body escape: writes
+			// clone it before the store takes ownership, and responses
+			// carry store views or fresh buffers. So the leased frame
+			// body can go back to the pool before the write.
 			j.req.Release()
 			// A write error means the connection died; its read loop
 			// cleans up.
@@ -402,11 +404,15 @@ func (s *Server) dispatch(req *wire.Request) *wire.Response {
 		// Meta.Stripe doubles as the item version (chunk writes already
 		// carry their stripe there; whole-value writers mint one the same
 		// way), so every replica of a logical write stores one CAS token.
-		if err := s.store.SetVersioned(req.Key, req.Value, time.Duration(req.TTLSeconds)*time.Second, req.Meta.Stripe); err != nil {
+		// The store keeps the slice it is given, so the leased frame
+		// bytes are cloned first.
+		if err := s.store.SetVersioned(req.Key, bytes.Clone(req.Value), time.Duration(req.TTLSeconds)*time.Second, req.Meta.Stripe); err != nil {
 			return errorResponse(err)
 		}
 		return &wire.Response{Status: wire.StatusOK, Meta: wire.ECMeta{Stripe: req.Meta.Stripe}}
 	case wire.OpGet, wire.OpGetChunk:
+		// v is the store's read-only view: a large one goes to the
+		// socket as the response frame's own vector, never copied.
 		v, version, ttl, ok := s.store.GetMeta(req.Key)
 		if !ok {
 			return &wire.Response{Status: wire.StatusNotFound}
@@ -510,7 +516,7 @@ func ttlSeconds(ttl time.Duration) uint32 {
 func (s *Server) handleCompareSet(req *wire.Request) *wire.Response {
 	allowMissing := req.Meta.K > 0
 	ttl := time.Duration(req.TTLSeconds) * time.Second
-	out, prior, err := s.store.CompareSwap(req.Key, req.Value, ttl, req.Compare, req.Meta.Stripe, allowMissing)
+	out, prior, err := s.store.CompareSwap(req.Key, bytes.Clone(req.Value), ttl, req.Compare, req.Meta.Stripe, allowMissing)
 	if err != nil {
 		return errorResponse(err)
 	}
@@ -530,8 +536,9 @@ func (s *Server) handleCompareSet(req *wire.Request) *wire.Response {
 // server side of the delta overwrite path. req.Compare is the stripe
 // the patch was computed against, req.Meta.Stripe the new stripe to
 // install, and req.Value the sparse XOR patch. The flow is
-// read-patch-swap: the chunk is read with its version, patched in a
-// private copy (GetMeta copies), and swapped back in only while the
+// read-patch-swap: the chunk is read with its version, cloned once from
+// the store's read-only view, patched in the clone (base CRC verified,
+// result CRC stamped), and the clone is swapped in only while the
 // stored version STILL equals the base stripe — so a concurrent write
 // between read and swap loses nothing, and a chunk can never end up a
 // blend of two stripes. A version mismatch answers StatusExists with
@@ -547,6 +554,7 @@ func (s *Server) handleApplyDelta(req *wire.Request) *wire.Response {
 	if version != req.Compare {
 		return &wire.Response{Status: wire.StatusExists, Meta: wire.ECMeta{Stripe: version}}
 	}
+	v = bytes.Clone(v)
 	if err := wire.ApplyDeltaPatch(v, req.Value, req.Meta); err != nil {
 		return errorResponse(err)
 	}

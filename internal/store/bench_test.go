@@ -73,3 +73,28 @@ func BenchmarkConcurrentMixed(b *testing.B) {
 		}
 	})
 }
+
+// sinkValue keeps benchmarked reads from being optimised away.
+var sinkValue []byte
+
+// BenchmarkStoreGetMeta reads one present key: the server's OpGet and
+// delta-apply read path. Sizes are a small record and one RS(3,2)
+// chunk of a 1 MB value.
+func BenchmarkStoreGetMeta(b *testing.B) {
+	for _, size := range []int{1 << 10, 350 << 10} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			s := New(Config{})
+			_ = s.Set("k", make([]byte, size), 0)
+			b.ReportAllocs()
+			b.SetBytes(int64(size))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v, _, _, ok := s.GetMeta("k")
+				if !ok {
+					b.Fatal("miss")
+				}
+				sinkValue = v
+			}
+		})
+	}
+}

@@ -64,6 +64,12 @@ type Stats struct {
 }
 
 // Store is the sharded item store. It is safe for concurrent use.
+//
+// Byte ownership follows one rule: the store keeps the slice a writer
+// gives it and hands out read-only views of it. It never copies a
+// value, and no stored slice is written after it is inserted, so a
+// view returned by Get stays byte-for-byte stable for as long as the
+// reader holds it, even across an overwrite of the key.
 type Store struct {
 	shards []*shard
 	now    func() time.Time
@@ -128,8 +134,14 @@ func itemSize(key string, value []byte) int64 {
 	return int64(len(key)) + int64(len(value)) + ItemOverhead
 }
 
-// Set stores value under key with the given TTL (0 = no expiry). The
-// value is copied. Set returns ErrOutOfMemory if the item cannot fit.
+// Set stores value under key with the given TTL (0 = no expiry).
+// Set returns ErrOutOfMemory if the item cannot fit.
+//
+// The store takes ownership of value: it keeps the slice, not a copy,
+// and hands it out to readers as a read-only view. The caller must not
+// write value after the call, and must not pass a pool-leased buffer
+// it will recycle. This holds for every write path (SetVersioned,
+// CompareSwap).
 func (s *Store) Set(key string, value []byte, ttl time.Duration) error {
 	return s.SetVersioned(key, value, ttl, 0)
 }
@@ -189,9 +201,7 @@ func (sh *shard) setLocked(key string, value []byte, ttl time.Duration, version 
 		sh.lru.Remove(old)
 		delete(sh.items, key)
 	}
-	v := make([]byte, len(value))
-	copy(v, value)
-	e := &entry{key: key, value: v, expiresAt: expires, size: size, version: version}
+	e := &entry{key: key, value: value, expiresAt: expires, size: size, version: version}
 	sh.items[key] = sh.lru.PushFront(e)
 	sh.used += size
 	return nil
@@ -216,34 +226,19 @@ func (sh *shard) removeLocked(el *list.Element, e *entry) {
 	sh.used -= e.size
 }
 
-// Get returns a copy of the value stored under key.
+// Get returns a read-only view of the value stored under key (see
+// GetMeta).
 func (s *Store) Get(key string) ([]byte, bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.stats.Gets++
-	el, ok := sh.items[key]
-	if !ok {
-		sh.stats.Misses++
-		return nil, false
-	}
-	e := el.Value.(*entry)
-	if !e.expiresAt.IsZero() && !sh.now().Before(e.expiresAt) {
-		sh.removeLocked(el, e)
-		sh.stats.Expired++
-		sh.stats.Misses++
-		return nil, false
-	}
-	sh.lru.MoveToFront(el)
-	sh.stats.Hits++
-	out := make([]byte, len(e.value))
-	copy(out, e.value)
-	return out, true
+	v, _, _, ok := s.GetMeta(key)
+	return v, ok
 }
 
-// GetMeta returns a copy of the value stored under key together with
-// its version and remaining TTL (0 = no expiry). It counts as a Get
-// for stats and LRU purposes.
+// GetMeta returns the value stored under key together with its version
+// and remaining TTL (0 = no expiry). It counts as a Get for stats and
+// LRU purposes. The value is the stored slice itself, capped so an
+// append cannot write past it: callers must treat it as read-only, and
+// it stays valid (and unchanged) after the key is overwritten or
+// removed, because the store never writes a slice once it is inserted.
 func (s *Store) GetMeta(key string) (value []byte, version uint64, ttl time.Duration, ok bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -264,12 +259,11 @@ func (s *Store) GetMeta(key string) (value []byte, version uint64, ttl time.Dura
 	}
 	sh.lru.MoveToFront(el)
 	sh.stats.Hits++
-	out := make([]byte, len(e.value))
-	copy(out, e.value)
 	if !e.expiresAt.IsZero() {
 		ttl = e.expiresAt.Sub(now)
 	}
-	return out, e.version, ttl, true
+	n := len(e.value)
+	return e.value[:n:n], e.version, ttl, true
 }
 
 // CASOutcome classifies the result of a CompareSwap.
@@ -301,7 +295,8 @@ const (
 // When the key is present, expect==0 (a pure add) or a version
 // mismatch yields CASExists with the stored version returned in prior.
 // Memory-budget failures surface as a non-nil error with the original
-// item left readable, same as Set.
+// item left readable, same as Set. On a swap the store takes ownership
+// of value exactly as Set does.
 func (s *Store) CompareSwap(key string, value []byte, ttl time.Duration, expect, version uint64, allowMissing bool) (CASOutcome, uint64, error) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()

@@ -52,19 +52,60 @@ func TestOverwrite(t *testing.T) {
 	}
 }
 
-func TestValueCopied(t *testing.T) {
+// TestGetViewIsCapped pins the read-only view contract: the slice Get
+// returns has no spare capacity, so an append reallocates instead of
+// writing into the store's memory.
+func TestGetViewIsCapped(t *testing.T) {
 	s := New(Config{})
-	v := []byte("abc")
+	v := make([]byte, 3, 64) // spare capacity the view must not expose
+	copy(v, "abc")
 	_ = s.Set("k", v, 0)
-	v[0] = 'X'
 	got, _ := s.Get("k")
-	if string(got) != "abc" {
-		t.Fatal("store aliased caller's value")
+	if cap(got) != len(got) {
+		t.Fatalf("view cap %d != len %d", cap(got), len(got))
 	}
-	got[0] = 'Y'
-	got2, _ := s.Get("k")
-	if string(got2) != "abc" {
-		t.Fatal("Get returned aliased value")
+	_ = append(got, "XYZ"...)
+	if string(v[:6]) == "abcXYZ" {
+		t.Fatal("append through a view wrote into the stored slice")
+	}
+	got2, _, _, _ := s.GetMeta("k")
+	if cap(got2) != len(got2) || string(got2) != "abc" {
+		t.Fatalf("GetMeta view = %q cap %d", got2, cap(got2))
+	}
+}
+
+// TestViewSurvivesOverwrite: the store never writes a slice once it is
+// inserted, so a view handed out earlier keeps its bytes after the key
+// is overwritten by Set or CompareSwap, or deleted.
+func TestViewSurvivesOverwrite(t *testing.T) {
+	s := New(Config{})
+	_ = s.SetVersioned("k", []byte("first"), 0, 1)
+	v1, _ := s.Get("k")
+	if err := s.SetVersioned("k", []byte("second"), 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	v2, _ := s.Get("k")
+	if out, _, err := s.CompareSwap("k", []byte("third!"), 0, 2, 3, false); err != nil || out != CASStored {
+		t.Fatalf("CompareSwap = %v, %v", out, err)
+	}
+	s.Delete("k")
+	if string(v1) != "first" || string(v2) != "second" {
+		t.Fatalf("earlier views changed: %q, %q", v1, v2)
+	}
+}
+
+// TestGetMetaAllocFree: reading a present key hands out the stored
+// slice, so it allocates nothing, whatever the value size.
+func TestGetMetaAllocFree(t *testing.T) {
+	s := New(Config{})
+	_ = s.Set("k", make([]byte, 350<<10), 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, _, ok := s.GetMeta("k"); !ok {
+			t.Fatal("miss")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("GetMeta allocs/op = %v, want 0", allocs)
 	}
 }
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // OpBatch payload layout (all integers big-endian). The batch frame is
@@ -106,9 +107,11 @@ func AppendBatchRequests(buf []byte, subs []BatchReq) ([]byte, error) {
 	if len(subs) > MaxBatchOps {
 		return nil, fmt.Errorf("%w: %d sub-requests (max %d)", ErrFrameTooLarge, len(subs), MaxBatchOps)
 	}
-	if size := BatchRequestsSize(subs); size > MaxValueLen {
+	size := BatchRequestsSize(subs)
+	if size > MaxValueLen {
 		return nil, fmt.Errorf("%w: batch payload %d bytes", ErrFrameTooLarge, size)
 	}
+	buf = slices.Grow(buf, size)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(subs)))
 	for i := range subs {
 		sub := &subs[i]
@@ -197,6 +200,7 @@ func AppendBatchResponses(buf []byte, subs []BatchResp) ([]byte, error) {
 	if size > MaxValueLen {
 		return nil, fmt.Errorf("%w: batch response payload %d bytes", ErrFrameTooLarge, size)
 	}
+	buf = slices.Grow(buf, size)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(subs)))
 	for i := range subs {
 		sub := &subs[i]
